@@ -1,0 +1,8 @@
+"""Make the benchmark's modules importable as top-level names."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+if str(HERE) not in sys.path:
+    sys.path.insert(0, str(HERE))
