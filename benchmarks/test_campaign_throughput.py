@@ -10,7 +10,7 @@ the interesting output is the seconds column and the speedup ratios.
 The window defaults to seven measured days and can be shrunk for smoke
 runs (CI uses ``REPRO_CAMPAIGN_BENCH_DAYS=3``).  The parallel speedup
 assertion only runs on hosts with >= 4 CPUs; on smaller hosts the
-never-slower cap (:func:`repro.scan.campaign_parallel.effective_campaign_workers`)
+never-slower cap (:func:`repro.scan.parallel.effective_campaign_workers`)
 degrades the pool down to the serial loop, which the benchmark asserts
 directly.
 """

@@ -11,10 +11,10 @@ timed best-of-N for each.  Bit-identity is asserted before anything is
 timed: both decoded series must re-serialise to the exact reference
 payload bytes.
 
-A second leg measures the shared-memory worker transport: a pooled
-collection (2 workers, forced past the single-core fallback) must stay
-byte-identical to serial while moving its results as packed columnar
-blobs, and the blob volume is recorded.
+A second leg measures the worker transport: a pooled collection (2
+workers, forced past the single-core fallback) must stay byte-identical
+to serial while moving its results as packed columnar blobs inside the
+result pickle, and the blob volume is recorded.
 
 Results land in ``results/storage_throughput.txt`` (human table) and
 ``results/BENCH_storage.json`` (machine-readable).  The committed JSON
@@ -172,7 +172,6 @@ def test_storage_throughput(tmp_path):
         "transport": {
             "workers": TRANSPORT_WORKERS,
             "transport_bytes": pool_metrics.transport_bytes,
-            "spill_bytes": pool_metrics.spill_bytes,
         },
         "memory": {
             "peak_rss_mb": peak_rss_mb,
@@ -199,8 +198,7 @@ def test_storage_throughput(tmp_path):
         + f" (gate {'applied' if FULL_CONFIG else 'skipped'}: floor {SPEEDUP_FLOOR}x"
         + (f", {skip_reason}" if skip_reason else "")
         + f")\ntransport bytes at {TRANSPORT_WORKERS} workers: "
-        + f"{pool_metrics.transport_bytes}"
-        + f" (spilled: {pool_metrics.spill_bytes})\n"
+        + f"{pool_metrics.transport_bytes}\n"
         + f"peak RSS: {peak_rss_mb} MB"
         + (f" (ceiling {RSS_CEILING_MB} MB)" if RSS_CEILING_MB else "")
         + "\n"

@@ -60,7 +60,6 @@ from repro.obs import NULL_OBS, Observability, metrics_out_path
 from repro.reporting import TextTable
 from repro.scan import (
     CampaignCache,
-    ShardedCampaign,
     SnapshotCache,
     SupplementalCampaign,
     write_icmp_csv,
@@ -544,28 +543,18 @@ def cmd_campaign(args, out) -> int:
     obs = _obs(args)
     plan = _fault_plan(args)
     world_plan = _plan(args)
-    if world_plan is not None:
-        # Sharded path: no full world build in this process.
-        obs.set_run_info(
-            world_fingerprint=f"plan:{world_plan.fingerprint()}",
-            fault_profile=plan.name if plan is not None else None,
-        )
-        campaign = ShardedCampaign(
-            world_plan,
-            shards=args.shards,
-            networks=args.networks,
-            fault_plan=plan,
-            obs=obs,
-        )
-    else:
-        world = _world(args)
-        obs.set_run_info(
-            world_fingerprint=world.internet.cache_token(),
-            fault_profile=plan.name if plan is not None else None,
-        )
-        campaign = SupplementalCampaign(
-            world, networks=args.networks, fault_plan=plan, obs=obs
-        )
+    # A plan runs shard by shard: no full world build in this process.
+    campaign = SupplementalCampaign(
+        world_plan if world_plan is not None else _world(args),
+        shards=args.shards,
+        networks=args.networks,
+        fault_plan=plan,
+        obs=obs,
+    )
+    obs.set_run_info(
+        world_fingerprint=campaign.world_token,
+        fault_profile=plan.name if plan is not None else None,
+    )
     try:
         dataset = campaign.run(
             args.start, args.end, workers=args.workers, cache=_campaign_cache(args)

@@ -39,13 +39,9 @@ import math
 import warnings
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import pairwise, zip_longest
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-try:  # Vectorised transition sweep; the stdlib fallback is bit-identical.
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from repro.scan.snapshot import SnapshotSeries
 from repro.scan.storage import CountMatrix, PrefixTable
@@ -176,65 +172,22 @@ def _scan_columns(
     scan, where the table may hold prefixes only seen outside the
     window.  Whole-series callers pass ``len(prefixes)`` instead.
     """
-    if np is not None:
-        # A dense day x prefix grid: short (ragged) columns are
-        # zero-padded, the same implicit zero the reference's
-        # ``counts.get(prefix, 0)`` reads.  Counts fit uint32, so every
-        # value converts to float64 exactly, and NumPy's elementwise
-        # ``100.0 * |delta| / max > threshold`` performs the identical
-        # IEEE-754 double operations as the reference's scalar
-        # expression — vectorisation cannot move a boundary case.
-        width = len(prefixes)
-        day_count = len(columns)
-        grid = np.zeros((day_count, width), dtype=np.int64)
-        for index, column in enumerate(columns):
-            if len(column):
-                grid[index, : len(column)] = column
-        maxima = grid.max(axis=0) if day_count else np.zeros(width, dtype=np.int64)
-        if total_observed is None:
-            total_observed = int(np.count_nonzero(maxima))
-
-        report = DynamicityReport(
-            thresholds,
-            total_observed=total_observed,
-            cadence_days=cadence_days,
-            effective_min_change_transitions=min_transitions,
-        )
-        # step 1: discard small prefixes
-        eligible = np.nonzero(maxima > thresholds.min_daily_addresses)[0]
-        if not eligible.size:
-            return report
-
-        # steps 2 and 3: per-transition percentage change against the
-        # eligible prefixes' maxima, counted down the day axis.
-        subgrid = grid[:, eligible]
-        if day_count > 1:
-            deltas = np.abs(np.diff(subgrid, axis=0)).astype(np.float64)
-            exceeds = 100.0 * deltas / maxima[eligible] > thresholds.change_percent
-            changes = exceeds.sum(axis=0)
-        else:
-            changes = np.zeros(eligible.size, dtype=np.int64)
-
-        values = prefixes.values
-        for position, prefix_id in enumerate(eligible):
-            prefix = values[prefix_id]
-            change_days = int(changes[position])
-            report.prefixes[prefix] = PrefixDynamicity(
-                prefix=prefix,
-                max_daily=int(maxima[prefix_id]),
-                change_days=change_days,
-                observed_days=observed_days,
-                is_dynamic=change_days >= min_transitions,
-            )
-        return report
-
-    # Stdlib fallback: transpose once at C speed — zip_longest pads the
-    # ragged columns with the same implicit zero — then run the exact
-    # reference expression over each eligible prefix's history tuple.
-    rows = list(zip_longest(*columns, fillvalue=0)) if columns else []
-    maxima_list = list(map(max, rows))
+    # A dense day x prefix grid: short (ragged) columns are
+    # zero-padded, the same implicit zero the reference's
+    # ``counts.get(prefix, 0)`` reads.  Counts fit uint32, so every
+    # value converts to float64 exactly, and NumPy's elementwise
+    # ``100.0 * |delta| / max > threshold`` performs the identical
+    # IEEE-754 double operations as the reference's scalar
+    # expression — vectorisation cannot move a boundary case.
+    width = len(prefixes)
+    day_count = len(columns)
+    grid = np.zeros((day_count, width), dtype=np.int64)
+    for index, column in enumerate(columns):
+        if len(column):
+            grid[index, : len(column)] = column
+    maxima = grid.max(axis=0) if day_count else np.zeros(width, dtype=np.int64)
     if total_observed is None:
-        total_observed = sum(1 for value in maxima_list if value)
+        total_observed = int(np.count_nonzero(maxima))
 
     report = DynamicityReport(
         thresholds,
@@ -242,28 +195,28 @@ def _scan_columns(
         cadence_days=cadence_days,
         effective_min_change_transitions=min_transitions,
     )
-    minimum = thresholds.min_daily_addresses
-    eligible_ids = [
-        prefix_id for prefix_id, value in enumerate(maxima_list) if value > minimum
-    ]
-    if not eligible_ids:
+    # step 1: discard small prefixes
+    eligible = np.nonzero(maxima > thresholds.min_daily_addresses)[0]
+    if not eligible.size:
         return report
 
-    threshold = thresholds.change_percent
+    # steps 2 and 3: per-transition percentage change against the
+    # eligible prefixes' maxima, counted down the day axis.
+    subgrid = grid[:, eligible]
+    if day_count > 1:
+        deltas = np.abs(np.diff(subgrid, axis=0)).astype(np.float64)
+        exceeds = 100.0 * deltas / maxima[eligible] > thresholds.change_percent
+        changes = exceeds.sum(axis=0)
+    else:
+        changes = np.zeros(eligible.size, dtype=np.int64)
+
     values = prefixes.values
-    for prefix_id in eligible_ids:
-        history = rows[prefix_id]
-        max_daily = maxima_list[prefix_id]
-        change_days = 0
-        for before, after in pairwise(history):
-            # Same operands, same order, same exclusive comparison as
-            # the reference — the two backends can never diverge.
-            if 100.0 * abs(after - before) / max_daily > threshold:
-                change_days += 1
+    for position, prefix_id in enumerate(eligible):
         prefix = values[prefix_id]
+        change_days = int(changes[position])
         report.prefixes[prefix] = PrefixDynamicity(
             prefix=prefix,
-            max_daily=max_daily,
+            max_daily=int(maxima[prefix_id]),
             change_days=change_days,
             observed_days=observed_days,
             is_dynamic=change_days >= min_transitions,

@@ -28,7 +28,7 @@ from repro.netsim.worldplan import WorldPlan
 from repro.obs import Observability, resolve_obs
 from repro.scan.cache import CampaignCache, SnapshotCache
 from repro.scan.campaign import CampaignMetrics, SupplementalCampaign, SupplementalDataset
-from repro.scan.sharded import ShardedCampaign, ShardedCollector
+from repro.scan.sharded import ShardedCollector
 from repro.scan.snapshot import CollectionMetrics, SnapshotCollector, SnapshotSeries
 
 
@@ -251,17 +251,13 @@ class ReproductionStudy:
                     # REPRO_FAULT_PROFILE environment variable itself.
                     else {}
                 )
-                if self.config.plan is not None:
-                    campaign = ShardedCampaign(
-                        self.config.plan,
-                        shards=self.config.shards,
-                        obs=self.obs,
-                        **fault_kwargs,
-                    )
-                else:
-                    campaign = SupplementalCampaign(
-                        self.world, obs=self.obs, **fault_kwargs
-                    )
+                # A plan runs shard by shard without the full world.
+                campaign = SupplementalCampaign(
+                    self.config.plan if self.config.plan is not None else self.world,
+                    shards=self.config.shards,
+                    obs=self.obs,
+                    **fault_kwargs,
+                )
                 self.obs.set_run_info(
                     fault_profile=(
                         campaign.fault_plan.name

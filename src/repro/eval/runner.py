@@ -1,11 +1,13 @@
 """The matrix runner: execute every cell, serially or on a pool.
 
 Each cell runs the same two-stage pipeline a study does — snapshot
-collection over the dynamicity window, then the supplemental campaign
-— through the sharded engines (:mod:`repro.scan.sharded`), and is
-scored in the worker that ran it.  Parallel execution fans whole cells
-out over the existing :class:`~repro.scan.parallel.WorkerBudget`
-process-pool transport (:func:`~repro.scan.parallel._map_chunks`);
+collection over the dynamicity window
+(:class:`~repro.scan.sharded.ShardedCollector`), then the supplemental
+campaign (:class:`~repro.scan.campaign.SupplementalCampaign` over the
+cell's plan) — and is scored in the worker that ran it.  Parallel
+execution fans whole cells out over the existing
+:class:`~repro.scan.parallel.WorkerBudget` process-pool transport
+(:func:`~repro.scan.parallel._map_chunks`);
 because a cell is scored from nothing but its own plan, windows and
 caches, and results are re-ordered by cell index, a parallel sweep is
 **byte-identical** to a serial one.
@@ -16,11 +18,14 @@ the cell's fault token, so no two cells can ever share a snapshot or
 campaign cache entry — and a warm rerun of the same spec hits every
 cell's entries.
 
-Observability: the coordinator emits deterministic per-cell counters
-(``eval_cells_total`` labelled by world/policy/faults, and
-``eval_flagged_cells_total``) in cell order — identical for serial and
-parallel runs — while pool shape and wall-clock go to the
-non-deterministic ``timings.execution`` section.
+Observability: when the coordinator's handle is enabled, each cell
+records its collector and campaign counters into a registry of its own
+and returns the snapshot; the coordinator merges those snapshots and
+emits its per-cell counters (``eval_cells_total`` labelled by
+world/policy/faults, and ``eval_flagged_cells_total``) in cell order —
+identical for serial and parallel runs — while pool shape and
+wall-clock go to the non-deterministic ``timings.execution`` section.
+A disabled handle leaves cells on the no-op handle.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ from repro.eval.matrix import MatrixCell, MatrixSpec
 from repro.eval.scoring import CellScore, score_cell, score_from_payload
 from repro.netsim.faults import plan_from_profile
 from repro.netsim.worldplan import WorldPlan
-from repro.obs import resolve_obs
+from repro.obs import Observability, resolve_obs
 from repro.scan.cache import CampaignCache, SnapshotCache
+from repro.scan.campaign import SupplementalCampaign
 from repro.scan.parallel import WorkerBudget, worker_cap
-from repro.scan.sharded import ShardedCampaign, ShardedCollector
+from repro.scan.sharded import ShardedCollector
 
 
 @dataclass
@@ -61,7 +67,12 @@ class MatrixResult:
     total_seconds: float = 0.0
 
 
-def _spec_state(spec: MatrixSpec, snapshot_root: Optional[str], campaign_root: Optional[str]) -> Tuple:
+def _spec_state(
+    spec: MatrixSpec,
+    snapshot_root: Optional[str],
+    campaign_root: Optional[str],
+    observe: bool = False,
+) -> Tuple:
     """The picklable per-run state shared by every cell task."""
     return (
         spec.dynamicity_start.toordinal(),
@@ -75,6 +86,7 @@ def _spec_state(spec: MatrixSpec, snapshot_root: Optional[str], campaign_root: O
         spec.dynamics_norm,
         snapshot_root,
         campaign_root,
+        observe,
     )
 
 
@@ -110,6 +122,7 @@ def _evaluate_cell(state: Tuple, task: Tuple) -> Dict[str, Any]:
         dynamics_norm,
         snapshot_root,
         campaign_root,
+        observe,
     ) = state
     index, world_label, policy, faults, plan_payload = task
 
@@ -138,7 +151,10 @@ def _evaluate_cell(state: Tuple, task: Tuple) -> Dict[str, Any]:
     snapshot_cache = SnapshotCache(snapshot_root) if snapshot_root else None
     campaign_cache = CampaignCache(campaign_root) if campaign_root else None
 
-    collector = ShardedCollector(plan, shards=1, fault_token=fault_token)
+    # The cell's own registry, returned as a snapshot: a pool worker's
+    # handle would otherwise never reach the coordinator.
+    cell_obs = Observability() if observe else None
+    collector = ShardedCollector(plan, shards=1, fault_token=fault_token, obs=cell_obs)
     series = collector.collect(
         spec.dynamicity_start,
         spec.dynamicity_end,
@@ -147,7 +163,7 @@ def _evaluate_cell(state: Tuple, task: Tuple) -> Dict[str, Any]:
     )
     # Fault plan always explicit (None = clean), never the environment:
     # the matrix axis owns the decision.
-    campaign = ShardedCampaign(plan, shards=1, fault_plan=fault_plan)
+    campaign = SupplementalCampaign(plan, fault_plan=fault_plan, obs=cell_obs)
     dataset = campaign.run(
         spec.supplemental_start,
         spec.supplemental_end,
@@ -165,6 +181,7 @@ def _evaluate_cell(state: Tuple, task: Tuple) -> Dict[str, Any]:
         "campaign_cache_key": campaign_metrics.cache_key if campaign_metrics else None,
         "snapshot_cache_hit": bool(collect_metrics and collect_metrics.cache_hit),
         "campaign_cache_hit": bool(campaign_metrics and campaign_metrics.cache_hit),
+        "metrics": cell_obs.metrics.snapshot() if cell_obs is not None else {},
     }
 
 
@@ -202,7 +219,7 @@ def run_matrix(
 
     snapshot_root = str(snapshot_cache.root) if snapshot_cache is not None else None
     campaign_root = str(campaign_cache.root) if campaign_cache is not None else None
-    state = _spec_state(spec, snapshot_root, campaign_root)
+    state = _spec_state(spec, snapshot_root, campaign_root, observe=obs.enabled)
     tasks = [_cell_task(spec, cell) for cell in cells]
 
     with obs.span("eval_matrix") as span:
@@ -234,6 +251,8 @@ def run_matrix(
         span.set("cells", len(results))
 
     # Deterministic per-cell counters, in cell order (serial == parallel).
+    for cell in cells:
+        obs.metrics.merge_snapshot(by_index[cell.index]["metrics"])
     flagged = 0
     for result in results:
         obs.metrics.counter("eval_cells_total").labels(

@@ -206,6 +206,12 @@ class NetworkRuntime:
 
     # -- observability -------------------------------------------------------------
 
+    def export_metrics(self, registry) -> None:
+        """Publish DHCP totals into a :class:`repro.obs.MetricsRegistry`."""
+        registry.counter("dhcp_messages_total").inc(
+            sum(runtime.server.messages_processed for runtime in self._subnets)
+        )
+
     def online_addresses(self) -> List[ipaddress.IPv4Address]:
         return list(self._online)
 

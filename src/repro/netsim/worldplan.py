@@ -35,7 +35,7 @@ import hashlib
 import ipaddress
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dns.zone import RdnsMode
 from repro.ipam.policy import POLICY_NAMES, make_policy
@@ -321,6 +321,32 @@ class WorldPlan:
             if supplemental:
                 world.supplemental[name] = network
         return world
+
+
+#: Shard worlds memoised per process, keyed by (plan fingerprint, shard
+#: network names).  Bounded: a process only ever holds a few shards'
+#: networks, never the whole plan.
+_SHARD_WORLDS: Dict[Tuple[str, Tuple[str, ...]], World] = {}
+
+_SHARD_WORLD_LIMIT = 4
+
+
+def shard_world(plan_payload: Dict[str, Any], names: Sequence[str]) -> World:
+    """Build (or reuse) the world slice of a plan holding exactly ``names``.
+
+    Takes the plan as its JSON payload so pool workers can receive it
+    cheaply; a worker handed several tasks over the same shard pays
+    the build once.
+    """
+    plan = WorldPlan.from_payload(plan_payload)
+    key = (plan.fingerprint(), tuple(names))
+    world = _SHARD_WORLDS.get(key)
+    if world is None:
+        while len(_SHARD_WORLDS) >= _SHARD_WORLD_LIMIT:
+            _SHARD_WORLDS.pop(next(iter(_SHARD_WORLDS)))
+        world = plan.build(names)
+        _SHARD_WORLDS[key] = world
+    return world
 
 
 class LazyPlanInternet:

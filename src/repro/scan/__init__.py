@@ -48,7 +48,7 @@ from repro.scan.storage import (
     RdnsColumns,
 )
 from repro.scan.persistence import load_dataset, save_dataset
-from repro.scan.sharded import ShardedCampaign, ShardedCollector
+from repro.scan.sharded import ShardedCollector
 
 __all__ = [
     "BackoffSchedule",
@@ -70,7 +70,6 @@ __all__ = [
     "SnapshotCollector",
     "SnapshotSeries",
     "SnapshotStats",
-    "ShardedCampaign",
     "ShardedCollector",
     "SupplementalCampaign",
     "SupplementalDataset",

@@ -56,11 +56,7 @@ and a torn append is detected (and truncated away by
 :meth:`BlockFileReader.open` in repair mode or reported by
 ``repro cache verify``).
 
-Zero-copy views come from ``numpy.frombuffer`` over the mapping; when
-NumPy is unavailable the stdlib fallback casts a ``memoryview`` to
-``"I"`` — bit-identical values (both read the same little-endian words;
-the cast path is guarded for the rare big-endian host by an explicit
-byte-order check that falls back to copying through ``array``).
+Zero-copy views come from ``numpy.frombuffer`` over the mapping.
 """
 from __future__ import annotations
 
@@ -74,10 +70,7 @@ from array import array
 from pathlib import Path
 from typing import BinaryIO, List, Optional, Sequence, Tuple, Union
 
-try:  # pragma: no cover - exercised via whichever branch the host has
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 MAGIC = b"RBF1"
 RECORD_MAGIC = b"RBRC"
@@ -135,22 +128,14 @@ def _pack_record_header(
 
 def _column_bytes(column: Sequence[int]) -> bytes:
     """A count column as raw little-endian ``u4`` words."""
-    if _np is not None and isinstance(column, _np.ndarray):
+    if isinstance(column, _np.ndarray):
         return column.astype("<u4", copy=False).tobytes()
-    if isinstance(column, memoryview):
-        return column.tobytes() if sys.byteorder == "little" else _swap(column)
     arr = column if isinstance(column, array) else array("I", (int(v) for v in column))
     data = arr.tobytes()
     if arr.itemsize == 4:
         return data if sys.byteorder == "little" else data[::-1]  # pragma: no cover
     # 8-byte "I" platforms do not exist on CPython, but stay correct:
     return struct.pack(f"<{len(arr)}I", *arr)  # pragma: no cover
-
-
-def _swap(view: memoryview) -> bytes:  # pragma: no cover - big-endian only
-    arr = array("I", view.tobytes())
-    arr.byteswap()
-    return arr.tobytes()
 
 
 def encode_records(
@@ -248,26 +233,18 @@ def append_day_records(
 
 
 def _u32_view(buffer, offset: int, count: int):
-    """A zero-copy (or bit-identical fallback) ``u32`` view into a buffer."""
-    if _np is not None:
-        return _np.frombuffer(buffer, dtype="<u4", count=count, offset=offset)
-    view = memoryview(buffer)[offset : offset + 4 * count]
-    if sys.byteorder == "little":
-        return view.cast("I")
-    arr = array("I", view.tobytes())  # pragma: no cover - big-endian only
-    arr.byteswap()
-    return arr
+    """A zero-copy ``u32`` view into a buffer."""
+    return _np.frombuffer(buffer, dtype="<u4", count=count, offset=offset)
 
 
 class BlockFileReader:
     """A validated, read-only view over one blockfile.
 
     ``prefixes``, ``days``, ``totals`` are plain Python lists; each
-    entry of ``columns`` is a zero-copy ``u32`` view into the mapping
-    (NumPy array or ``memoryview`` cast).  The reader object keeps the
-    mapping alive; views taken from it remain valid for its lifetime
-    (and, because both ``numpy.frombuffer`` and ``memoryview`` hold a
-    reference to their buffer, beyond it).
+    entry of ``columns`` is a zero-copy ``u32`` NumPy view into the
+    mapping.  The reader object keeps the mapping alive; views taken
+    from it remain valid for its lifetime (and, because
+    ``numpy.frombuffer`` holds a reference to its buffer, beyond it).
     """
 
     def __init__(

@@ -10,12 +10,16 @@ The campaign is embarrassingly parallel across networks: each of the
 nine has its own :class:`~repro.netsim.finegrained.NetworkRuntime`,
 sweeper state, authoritative server and observation streams, with no
 cross-network coupling.  :func:`run_network_campaign` therefore runs
-*one* network on its own :class:`~repro.netsim.engine.SimulationEngine`;
-the serial path loops it over the networks, the parallel path
-(:mod:`repro.scan.campaign_parallel`) fans the same function out over
-a process pool, and both merge the per-network streams with the same
-deterministic timestamp merge — so parallel output is bit-identical to
-serial.  A completed dataset can also be persisted in a
+*one* network on its own :class:`~repro.netsim.engine.SimulationEngine`.
+:class:`SupplementalCampaign` is the one engine over it: its source is
+either a built :class:`~repro.netsim.internet.World` (one task per
+network) or a :class:`~repro.netsim.worldplan.WorldPlan` (one task per
+contiguous shard of networks, each built only in the process that runs
+it).  Tasks run in-process or on the shared pool
+(:func:`repro.scan.parallel._map_chunks`), and their per-network
+streams merge with the same deterministic timestamp merge — so output
+is bit-identical for any source, shard count or worker count.  A
+completed dataset can also be persisted in a
 :class:`~repro.scan.cache.CampaignCache`, making warm runs skip the
 six-week simulation entirely.
 
@@ -29,8 +33,8 @@ from __future__ import annotations
 import datetime as dt
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.dns.resolver import ResolutionStatus
 from repro.netsim.engine import SimulationEngine
@@ -39,6 +43,7 @@ from repro.netsim.finegrained import build_runtimes
 from repro.netsim.internet import World
 from repro.netsim.network import NetworkType
 from repro.netsim.simtime import DAY, HOUR, date_of, from_date
+from repro.netsim.worldplan import PlanError, WorldPlan, contiguous_blocks, shard_world
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.scan.icmp import IcmpScanner
 from repro.scan.observations import IcmpObservation, RdnsObservation
@@ -98,9 +103,6 @@ class CampaignMetrics:
     #: serial (and cache-hit) runs.  Reported under
     #: ``timings.execution`` only — run-shape, not science.
     transport_bytes: int = 0
-    #: The subset of :attr:`transport_bytes` that spilled to temp files
-    #: rather than shared memory.
-    spill_bytes: int = 0
     simulate_seconds: float = 0.0
     total_seconds: float = 0.0
     per_network_seconds: Dict[str, float] = field(default_factory=dict)
@@ -304,6 +306,12 @@ class NetworkCampaignResult:
     #: — deterministic, picklable, merged across networks in campaign
     #: order so serial and parallel runs publish identical totals.
     metrics: Dict = field(default_factory=dict)
+    #: The targeted prefixes, network type and targeted address count,
+    #: read in the process that ran the network, so the coordinator
+    #: never needs the network built to assemble the dataset.
+    targets: List[str] = field(default_factory=list)
+    net_type: Optional[NetworkType] = None
+    target_size: int = 0
 
 
 def run_network_campaign(
@@ -367,8 +375,9 @@ def run_network_campaign(
     # Columnar stores are drop-in append targets for the monitor.
     monitor.icmp_observations = IcmpColumns()
     monitor.rdns_observations = RdnsColumns()
-    targets = {name: [str(subnet.prefix) for subnet in world.supplemental_targets(name)]}
-    monitor.start(targets, end=end_ts)
+    subnets = world.supplemental_targets(name)
+    targets = [str(subnet.prefix) for subnet in subnets]
+    monitor.start({name: targets}, end=end_ts)
     engine.run_until(end_ts)
     counters: Dict[str, int] = {}
     if fault_plan is not None:
@@ -389,6 +398,7 @@ def run_network_campaign(
     rdns.export_metrics(registry)
     monitor.export_metrics(registry)
     engine.export_metrics(registry)
+    runtimes[name].export_metrics(registry)
     network.server.export_metrics(registry, snapshot=server_baseline)
     return NetworkCampaignResult(
         network=name,
@@ -399,6 +409,9 @@ def run_network_campaign(
         seconds=time.perf_counter() - started,
         counters=counters,
         metrics=registry.snapshot(),
+        targets=targets,
+        net_type=network.net_type,
+        target_size=sum(subnet.prefix.num_addresses for subnet in subnets),
     )
 
 
@@ -408,13 +421,65 @@ def run_network_campaign(
 _FAULTS_FROM_ENV = object()
 
 
+def _run_task(
+    source: Union[World, Dict[str, Any]],
+    names: Sequence[str],
+    start: dt.date,
+    end: dt.date,
+    params: Dict[str, Any],
+) -> List[NetworkCampaignResult]:
+    """Run one task's networks against a world or a plan payload.
+
+    A plan payload is built into (or fetched from) this process's
+    memoised shard world holding exactly ``names``.
+    """
+    world = source if isinstance(source, World) else shard_world(source, names)
+    return [run_network_campaign(world, name, start, end, **params) for name in names]
+
+
+def _pooled_task(names: Sequence[str]):
+    """One campaign task inside a pool worker.
+
+    The heavy observation columns travel back as one packed blob
+    (:func:`repro.scan.transport.pack_campaign_batch`); only the
+    lightweight result shells ride the pickle as objects.
+    """
+    import repro.scan.parallel as parallel
+    from repro.scan import transport
+
+    assert parallel._WORKER_STATE is not None, "worker state missing"
+    source, start_ordinal, end_ordinal, params = parallel._WORKER_STATE
+    results = _run_task(
+        source,
+        names,
+        dt.date.fromordinal(start_ordinal),
+        dt.date.fromordinal(end_ordinal),
+        params,
+    )
+    handle = transport.publish(
+        transport.pack_campaign_batch((result.icmp, result.rdns) for result in results)
+    )
+    return [replace(result, icmp=None, rdns=None) for result in results], handle
+
+
 class SupplementalCampaign:
-    """Runs the supplemental measurement against a built world."""
+    """Runs the supplemental measurement over a built world or a plan.
+
+    ``source`` is a :class:`~repro.netsim.internet.World` or a
+    :class:`~repro.netsim.worldplan.WorldPlan`.  A world gives one task
+    per network; a plan gives one task per contiguous block of
+    ``shards`` (``shards`` is ignored for a world), and whichever
+    process runs a task builds only that block's networks — so a plan
+    campaign never holds the whole world in one process.  Results merge
+    in campaign order either way, so every source, shard count and
+    worker count gives byte-identical datasets.
+    """
 
     def __init__(
         self,
-        world: World,
+        source: Union[World, WorldPlan],
         *,
+        shards: int = 1,
         networks: Optional[Iterable[str]] = None,
         schedule: BackoffSchedule = TABLE2_SCHEDULE,
         sweep_interval: int = HOUR,
@@ -423,41 +488,59 @@ class SupplementalCampaign:
         fault_plan=_FAULTS_FROM_ENV,
         obs=None,
     ):
-        self.world = world
+        if shards < 1:
+            raise PlanError(f"shard count must be >= 1, got {shards}")
+        if isinstance(source, WorldPlan):
+            self.plan: Optional[WorldPlan] = source.validate()
+            self.world: Optional[World] = None
+            available = source.supplemental_names
+            seed = source.seed
+        else:
+            self.plan = None
+            self.world = source
+            # For the standard world, the Table 4 nine, in order.
+            available = list(source.supplemental)
+            seed = source.rngs.seed
+        self.shards = shards
         #: Optional :class:`repro.obs.Observability` handle; spans,
         #: deterministic counters and run-shape details are recorded
         #: there (no-op when ``None``).
         self.obs = obs
-        # Default to every supplemental-flagged network in the world
-        # (for the standard world, that is the Table 4 nine, in order).
-        candidates = list(networks) if networks is not None else list(world.supplemental)
-        self.network_names = [name for name in candidates if name in world.supplemental]
+        known = set(available)
+        candidates = list(networks) if networks is not None else available
+        self.network_names = [name for name in candidates if name in known]
         self.schedule = schedule
         self.sweep_interval = sweep_interval
         self.rdns_rate = rdns_rate
         self.blocklist = list(blocklist)
         if fault_plan is _FAULTS_FROM_ENV:
-            fault_plan = resolve_fault_plan(None, seed=world.rngs.seed)
+            fault_plan = resolve_fault_plan(None, seed=seed)
         self.fault_plan: Optional[FaultPlan] = fault_plan
         #: Counters from the most recent :meth:`run` call.
         self.last_metrics: Optional[CampaignMetrics] = None
 
-    def _targets(self) -> Dict[str, List[str]]:
-        targets: Dict[str, List[str]] = {}
-        for name in self.network_names:
-            subnets = self.world.supplemental_targets(name)
-            targets[name] = [str(subnet.prefix) for subnet in subnets]
-        return targets
+    @property
+    def world_token(self) -> str:
+        """The world identity in cache keys and run manifests.
+
+        A plan answers from its fingerprint before any network is
+        built; a world from its :meth:`~repro.netsim.internet.Internet.cache_token`.
+        """
+        if self.plan is not None:
+            return f"plan:{self.plan.fingerprint()}"
+        return self.world.internet.cache_token()
 
     def cache_key(self, cache: "CampaignCache", start: dt.date, end: dt.date) -> str:
         """The cache key one ``run(start, end)`` would use.
 
         The fault plan token is folded in only when a plan is active,
         so clean runs keep exactly the keys they had before fault
-        injection existed (cached datasets stay valid).
+        injection existed (cached datasets stay valid).  A plan key
+        adds the plan's policy token and leaves the shard count out,
+        so runs at any shard width share one entry.
         """
         return cache.key_for(
-            world_token=self.world.internet.cache_token(),
+            world_token=self.world_token,
             networks=self.network_names,
             start=start,
             end=end,
@@ -469,6 +552,7 @@ class SupplementalCampaign:
             fault_token=(
                 self.fault_plan.cache_token() if self.fault_plan is not None else None
             ),
+            policy_token=self.plan.policy_token() if self.plan is not None else None,
         )
 
     def run(
@@ -488,7 +572,7 @@ class SupplementalCampaign:
         while the campaign was inclusive, so "the same window" covered
         different days depending on the instrument).
 
-        ``workers > 1`` fans networks out over a process pool;
+        ``workers > 1`` fans tasks out over the shared process pool;
         ``cache`` consults and fills an on-disk
         :class:`~repro.scan.cache.CampaignCache`.  Both are
         bit-identical to the serial, uncached run.  Timing and cache
@@ -528,7 +612,6 @@ class SupplementalCampaign:
             cache_hit=metrics.cache_hit,
             cache_stored=metrics.cache_stored,
             transport_bytes=metrics.transport_bytes,
-            spill_bytes=metrics.spill_bytes,
         )
         if cache is not None:
             cache.export_metrics(obs, section="campaign", baseline=cache_baseline)
@@ -545,6 +628,8 @@ class SupplementalCampaign:
     ) -> SupplementalDataset:
         if end <= start:
             raise ValueError("end must be after start (half-open [start, end) window)")
+        if self.plan is not None and not self.network_names:
+            raise PlanError("plan has no supplemental networks to measure")
         started = time.perf_counter()
         metrics = CampaignMetrics(
             workers=max(1, workers), networks=len(self.network_names)
@@ -570,8 +655,16 @@ class SupplementalCampaign:
                 return dataset
 
         simulate_started = time.perf_counter()
-        results = self._run_networks(start, end, workers, metrics)
-        dataset = self._merge(start, end, results)
+        results = self._execute(start, end, workers, metrics, obs)
+        dataset = SupplementalDataset(
+            start=start,
+            end=end,
+            icmp=IcmpColumns.merged([result.icmp for result in results]),
+            rdns=RdnsColumns.merged([result.rdns for result in results]),
+            targets_by_network={result.network: result.targets for result in results},
+            network_types={result.network: result.net_type for result in results},
+            target_sizes={result.network: result.target_size for result in results},
+        )
         # Per-network registries merge in fixed campaign order, so the
         # totals are identical whether networks ran serial or fanned
         # out (and, via the cached copy below, on later replays).
@@ -601,56 +694,62 @@ class SupplementalCampaign:
 
     # -- execution -------------------------------------------------------------
 
-    def _run_networks(
+    def _tasks(self) -> List[List[str]]:
+        """The work units: one per network, or one per plan shard.
+
+        Plan shards follow the *network list* (already in plan order),
+        not the full entry list — a shard whose entries carry no
+        supplemental networks contributes no task.
+        """
+        if self.plan is None:
+            return [[name] for name in self.network_names]
+        return contiguous_blocks(self.network_names, self.shards)
+
+    def _execute(
         self,
         start: dt.date,
         end: dt.date,
         workers: int,
         metrics: CampaignMetrics,
+        obs,
     ) -> List[NetworkCampaignResult]:
-        from repro.scan.campaign_parallel import effective_campaign_workers, run_networks
-
-        effective = effective_campaign_workers(workers, len(self.network_names))
-        metrics.effective_workers = effective
-        if effective > 1:
-            return run_networks(self, start, end, workers=effective, metrics=metrics)
-        return [
-            run_network_campaign(
-                self.world,
-                name,
-                start,
-                end,
-                schedule=self.schedule,
-                sweep_interval=self.sweep_interval,
-                rdns_rate=self.rdns_rate,
-                blocklist=self.blocklist,
-                fault_plan=self.fault_plan,
-            )
-            for name in self.network_names
-        ]
-
-    def _merge(
-        self,
-        start: dt.date,
-        end: dt.date,
-        results: Sequence[NetworkCampaignResult],
-    ) -> SupplementalDataset:
-        """Combine per-network streams into one dataset, deterministically."""
-        targets = self._targets()
-        target_sizes = {
-            name: sum(
-                subnet.prefix.num_addresses for subnet in self.world.supplemental_targets(name)
-            )
-            for name in self.network_names
-        }
-        return SupplementalDataset(
-            start=start,
-            end=end,
-            icmp=IcmpColumns.merged([result.icmp for result in results]),
-            rdns=RdnsColumns.merged([result.rdns for result in results]),
-            targets_by_network=targets,
-            network_types={
-                name: self.world.supplemental[name].net_type for name in self.network_names
-            },
-            target_sizes=target_sizes,
+        """Run every task, in-process or on the pool, in campaign order."""
+        from repro.scan import transport
+        from repro.scan.parallel import (
+            _map_chunks,
+            _record_transport,
+            effective_campaign_workers,
         )
+
+        tasks = self._tasks()
+        effective = effective_campaign_workers(workers, len(tasks))
+        metrics.effective_workers = effective
+        source = self.world if self.plan is None else self.plan.to_payload()
+        params = dict(
+            schedule=self.schedule,
+            sweep_interval=self.sweep_interval,
+            rdns_rate=self.rdns_rate,
+            blocklist=self.blocklist,
+            fault_plan=self.fault_plan,
+        )
+        if effective < 2:
+            return [
+                result
+                for names in tasks
+                for result in _run_task(source, names, start, end, params)
+            ]
+        state = (source, start.toordinal(), end.toordinal(), params)
+        shells = _map_chunks(
+            state, tasks, effective, _pooled_task, obs=obs, section="campaign_pool"
+        )
+        results: List[NetworkCampaignResult] = []
+        for task_results, handle in shells:
+            columns = transport.consume(handle, transport.unpack_campaign_batch)
+            results.extend(
+                replace(result, icmp=icmp, rdns=rdns)
+                for result, (icmp, rdns) in zip(task_results, columns)
+            )
+        _record_transport(
+            obs, "campaign_pool", [handle for _, handle in shells], metrics
+        )
+        return results

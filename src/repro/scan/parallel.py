@@ -1,4 +1,4 @@
-"""Process-pool fan-out for snapshot collection.
+"""The one process pool: day chunks, leak samples, shards, campaigns, cells.
 
 A multi-year full-address-space series visits thousands of simulated
 days, and every day is derived independently: all randomness comes from
@@ -11,16 +11,15 @@ order.  The merged series is bit-identical to a serial run (the
 equivalence regression test in ``tests/scan/test_parallel_cache.py``
 pins this).
 
-Two transport paths keep the fixed cost low.  Where ``fork`` is
-available (Linux), workers inherit the :class:`~repro.netsim.internet.Internet`
-through copy-on-write memory — no pickling at all.  Elsewhere the world
-is pickled once and shipped via the pool initializer.  Results travel
-the other way as packed columnar blobs through
-:mod:`repro.scan.transport` (shared memory by default): a worker
-returns a :class:`~repro.scan.transport.BlobHandle` instead of pickled
-per-day dicts, and the parent unpacks straight out of the shared
-buffer — the serialize-merge tax that used to make small-chunk
-parallelism slower than serial is gone.
+Every fan-out in the package — snapshot days, leak samples, snapshot
+shards, campaign networks and evaluation cells — goes through
+:func:`_map_chunks`.  Where ``fork`` is available (Linux), workers
+inherit their state (an :class:`~repro.netsim.internet.Internet`, a
+world or a plan payload) through copy-on-write memory — no pickling at
+all.  Elsewhere the state is pickled once and shipped via the pool
+initializer.  Results travel the other way as packed columnar blobs
+(:mod:`repro.scan.transport`) riding the result pickle as one
+``bytes`` object instead of millions of small pickled objects.
 
 :func:`effective_workers` implements the never-slower rule: short
 windows don't amortise pool start-up, so the pool size is capped by
@@ -28,6 +27,8 @@ the day count (at least :data:`MIN_DAYS_PER_WORKER` days per worker)
 and the machine's core count; a cap of one means "stay serial".  The
 historic behaviour — honouring ``workers=4`` for a 60-day window on a
 single-core host — ran at 0.6x serial throughput.
+:func:`effective_campaign_workers` is the same rule for campaign
+tasks.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import multiprocessing
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scan.snapshot import SnapshotCollector, SnapshotSeries
@@ -98,6 +99,24 @@ def effective_workers(requested: int, day_count: int) -> int:
         worker_cap(),
         day_count // MIN_DAYS_PER_WORKER,
     )
+    return capped if capped >= 2 else 1
+
+
+def effective_campaign_workers(requested: int, work_units: int) -> int:
+    """Cap a campaign's pool size so parallelism never loses to serial.
+
+    ``work_units`` is the number of tasks actually submitted to the
+    pool — one per network for a world, one per shard batch for a plan.
+    Capping at the *network* count starved shard-batched runs, where one
+    submission carries many networks: a 2-batch run over 9 networks
+    must size the pool by its 2 submissions, not its 9 networks.
+    More workers than work units just idle; more workers than the
+    machine-wide :func:`worker_cap` just context-switch.  Anything that
+    caps to one means "run serial".
+    """
+    if requested < 2 or work_units < 2:
+        return 1
+    capped = min(requested, worker_cap(), work_units)
     return capped if capped >= 2 else 1
 
 
@@ -214,10 +233,8 @@ def collect_days(
     ``timings.execution``; those vary with the host, never the
     collected series.  ``metrics`` (a
     :class:`~repro.scan.snapshot.CollectionMetrics`) additionally
-    receives the ``transport_bytes``/``spill_bytes`` totals.
+    receives the ``transport_bytes`` total.
     """
-    global _WORKER_STATE
-    from repro.obs import resolve_obs
     from repro.scan import transport
     from repro.scan.snapshot import SnapshotSeries
 
@@ -240,11 +257,9 @@ def collect_days(
     handles = _map_chunks(
         state, chunks, max_workers, _collect_chunk, obs=obs, section="snapshot_pool"
     )
-    stats = transport.TransportStats()
     for handle in handles:
-        stats.count(handle)
         _ingest(series, [transport.consume(handle, transport.unpack_day_chunk)])
-    _record_transport(obs, "snapshot_pool", stats, metrics)
+    _record_transport(obs, "snapshot_pool", handles, metrics)
     return series
 
 
@@ -278,22 +293,20 @@ def sample_day_records(
     handles = _map_chunks(
         state, chunks, max_workers, _records_chunk, obs=obs, section="sample_pool"
     )
-    stats = transport.TransportStats()
     records: List[Tuple[object, str]] = []
     for handle in handles:
-        stats.count(handle)
         for _, day_records in transport.consume(handle, transport.unpack_record_chunk):
             records.extend(
                 (ipaddress.IPv4Address(value), hostname)
                 for value, hostname in day_records
             )
-    _record_transport(obs, "sample_pool", stats, None)
+    _record_transport(obs, "sample_pool", handles, None)
     return records
 
 
 def _map_chunks(
-    state: Tuple[object, Optional[List[str]], Optional[int]],
-    chunks: List[List[int]],
+    state: Tuple,
+    chunks: Sequence[object],
     max_workers: int,
     task,
     *,
@@ -302,16 +315,15 @@ def _map_chunks(
 ) -> List[object]:
     """Run ``task`` over ``chunks`` on a pool, preserving chunk order.
 
-    Shared transport for every day-chunk fan-out.  Where ``fork`` is
-    available workers inherit ``state`` through copy-on-write memory;
-    elsewhere it is pickled once into the pool initializer.  ``obs``
-    receives the pool shape under ``timings.execution``.
+    The one pool behind every fan-out (day chunks, leak samples,
+    snapshot shards, campaign tasks, evaluation cells).  Where ``fork``
+    is available workers inherit ``state`` through copy-on-write
+    memory; elsewhere it is pickled once into the pool initializer.
+    ``obs`` receives the pool shape under ``timings.execution``.
     """
     global _WORKER_STATE
     from repro.obs import resolve_obs
-    from repro.scan.transport import ensure_parent_tracker
 
-    ensure_parent_tracker()
     use_fork = "fork" in multiprocessing.get_all_start_methods()
     resolve_obs(obs).record_execution(
         section,
@@ -337,8 +349,8 @@ def _map_chunks(
         blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise ValueError(
-            "parallel collection requires a picklable world; "
-            f"pickling the Internet failed: {exc!r}"
+            "parallel execution requires picklable worker state; "
+            f"pickling failed: {exc!r}"
         ) from exc
     with ProcessPoolExecutor(
         max_workers=max_workers,
@@ -348,8 +360,8 @@ def _map_chunks(
         return list(pool.map(task, chunks))
 
 
-def _record_transport(obs, section: str, stats, metrics) -> None:
-    """Fold a pool's result-transport byte counts into obs and metrics.
+def _record_transport(obs, section: str, handles, metrics) -> None:
+    """Fold a pool's result-blob byte count into obs and metrics.
 
     These are run-shape numbers (a serial run moves zero bytes), so
     they live under ``timings.execution`` — never in the deterministic
@@ -357,15 +369,12 @@ def _record_transport(obs, section: str, stats, metrics) -> None:
     """
     from repro.obs import resolve_obs
 
+    transport_bytes = sum(handle.size for handle in handles)
     resolve_obs(obs).record_execution(
-        section,
-        accumulate=True,
-        transport_bytes=stats.transport_bytes,
-        spill_bytes=stats.spill_bytes,
+        section, accumulate=True, transport_bytes=transport_bytes
     )
     if metrics is not None:
-        metrics.transport_bytes += stats.transport_bytes
-        metrics.spill_bytes += stats.spill_bytes
+        metrics.transport_bytes += transport_bytes
 
 
 def _ingest(series: "SnapshotSeries", chunk_results) -> None:

@@ -81,15 +81,11 @@ class CollectionMetrics:
     #: collection itself still succeeded, only persistence was lost.
     cache_store_failed: bool = False
     #: Bytes of worker results that crossed the process boundary as
-    #: packed columnar blobs (shared-memory segments or inline bytes)
-    #: instead of pickled dicts.  Zero for serial runs.  Run-shape
-    #: detail, so it is reported under ``timings.execution``, never in
-    #: the deterministic manifest sections.
+    #: packed columnar blobs instead of pickled dicts.  Zero for serial
+    #: runs.  Run-shape detail, so it is reported under
+    #: ``timings.execution``, never in the deterministic manifest
+    #: sections.
     transport_bytes: int = 0
-    #: The subset of :attr:`transport_bytes` that went through on-disk
-    #: spill files rather than shared memory (``REPRO_POOL_TRANSPORT=
-    #: spill`` or a shared-memory publish failure).
-    spill_bytes: int = 0
     simulate_seconds: float = 0.0
     total_seconds: float = 0.0
 
@@ -651,7 +647,6 @@ class SnapshotCollector:
             effective_workers=metrics.effective_workers,
             cache_hit=metrics.cache_hit,
             transport_bytes=metrics.transport_bytes,
-            spill_bytes=metrics.spill_bytes,
         )
         if cache is not None:
             cache.export_metrics(obs, section="snapshot", baseline=cache_baseline)

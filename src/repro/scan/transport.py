@@ -5,180 +5,58 @@ Pool workers used to return plain Python structures — per-day
 objects — which the executor pickled in the worker and unpickled in
 the parent.  At shard scale that serialize-merge tax exceeded the work
 being parallelised (``BENCH_shards.json`` recorded 0.74x "speedup" at
-4 workers).  This module replaces the pickle round-trip with packed
-columnar blobs: a worker flattens its results into one contiguous byte
-string (raw little-endian integer columns plus newline-joined string
-pools), publishes it out-of-band, and returns only a tiny
-:class:`BlobHandle`.  The parent unpacks straight out of the shared
-buffer — for counts, two ``frombuffer`` views and a ``zip`` — and the
-rebuilt dicts preserve the worker's insertion order exactly, so prefix
-interning (and therefore every downstream byte) is identical to a
-serial run.
+4 workers).  This module replaces the per-object pickle round-trip
+with packed columnar blobs: a worker flattens its results into one
+contiguous byte string (raw little-endian integer columns plus
+newline-joined string pools) and :func:`publish` wraps it in a
+:class:`BlobHandle` that rides the normal result pickle as one
+``bytes`` object.  The parent reads it with :func:`consume` through a
+``memoryview`` — for counts, two ``frombuffer`` views and a ``zip`` —
+and the rebuilt dicts preserve the worker's insertion order exactly,
+so prefix interning (and therefore every downstream byte) is
+identical to a serial run.  Collectors report the blob sizes as
+``transport_bytes``.
 
-Three transports, selected by ``REPRO_POOL_TRANSPORT``:
-
-* ``shm`` (default where available) — the blob lives in a
-  ``multiprocessing.shared_memory`` segment; only its name and size
-  cross the process boundary.  The parent parses directly from the
-  mapped buffer, then closes and unlinks the segment.
-* ``inline`` — the blob rides the normal result pickle as one
-  ``bytes`` object (still one memcpy-friendly buffer instead of a
-  million small objects; the universal fallback).
-* ``spill`` — the blob is written to a temp file
-  (``REPRO_POOL_SPILL_DIR`` overrides the directory) and only the path
-  returns; for results bigger than comfortable shared-memory use.
-
-A failed shared-memory publish (tiny ``/dev/shm``, exotic platform)
-degrades to ``inline`` silently — the handle says what actually
-happened, and the collectors surface the split as ``transport_bytes``
-/ ``spill_bytes`` counters.
+Shared-memory segments and spill files were tried as out-of-band
+carriers and measured no faster end to end than the inline blob
+(``--workers 2 study`` and ``campaign`` on a 2-CPU host), so the inline
+blob is the only transport.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import sys
-import tempfile
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, Dict, List, Sequence, Set, Tuple, TypeVar
 
-try:  # pragma: no cover - exercised via whichever branch the host has
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
-TRANSPORT_ENV = "REPRO_POOL_TRANSPORT"
-SPILL_DIR_ENV = "REPRO_POOL_SPILL_DIR"
+import numpy as _np
 
 _MAGIC = b"RTB1"
 
 T = TypeVar("T")
 
 
-def _shm_available() -> bool:
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - always present on CPython >= 3.8
-        return False
-    return True
-
-
-def ensure_parent_tracker() -> None:
-    """Start the multiprocessing resource tracker in *this* process.
-
-    Call before creating a pool whose workers publish shared-memory
-    segments.  Without it, a fork child that creates the first segment
-    spawns its own tracker, and that tracker unlinks the segment the
-    moment the worker exits — before the parent ever opens it.  With
-    the tracker already running here, children inherit it; the
-    worker's register and the parent's unlink pair up in one place,
-    and segments survive pool shutdown until consumed (and are still
-    swept if the whole process dies).
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:  # pragma: no cover - tracker API unavailable
-        pass
-
-
-def configured_transport() -> str:
-    """The transport this process publishes with (env override first)."""
-    env = os.environ.get(TRANSPORT_ENV, "").strip().lower()
-    if env:
-        if env not in ("shm", "inline", "spill"):
-            raise ValueError(
-                f"{TRANSPORT_ENV} must be one of shm/inline/spill, got {env!r}"
-            )
-        return env
-    return "shm" if _shm_available() else "inline"
-
-
-@dataclass
+@dataclass(frozen=True)
 class BlobHandle:
-    """A cheap-to-pickle reference to one published result blob."""
+    """One packed result blob, carried inside the worker's result pickle."""
 
-    kind: str  # "inline" | "shm" | "file"
-    size: int
-    data: Optional[bytes] = None
-    name: Optional[str] = None
-    path: Optional[str] = None
+    data: bytes
+
+    @property
+    def size(self) -> int:
+        return len(self.data)
 
 
-def publish(blob: bytes, transport: Optional[str] = None) -> BlobHandle:
-    """Put ``blob`` where the parent can reach it; return the handle."""
-    if transport is None:
-        transport = configured_transport()
-    size = len(blob)
-    if transport == "shm":
-        try:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(create=True, size=max(1, size))
-            segment.buf[:size] = blob
-            segment.close()
-            return BlobHandle(kind="shm", size=size, name=segment.name)
-        except (OSError, ValueError):
-            return BlobHandle(kind="inline", size=size, data=blob)
-    if transport == "spill":
-        spill_dir = os.environ.get(SPILL_DIR_ENV) or None
-        fd, path = tempfile.mkstemp(prefix="repro-spill-", suffix=".blob", dir=spill_dir)
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        return BlobHandle(kind="file", size=size, path=path)
-    return BlobHandle(kind="inline", size=size, data=blob)
+def publish(blob: bytes) -> BlobHandle:
+    """Wrap a packed ``blob`` for the trip back to the parent process."""
+    return BlobHandle(blob)
 
 
 def consume(handle: BlobHandle, parser: Callable[[memoryview], T]) -> T:
-    """Run ``parser`` over the blob behind ``handle``, then release it.
-
-    Shared-memory segments are parsed in place (no copy into the
-    parent's heap beyond what the parser materialises) and unlinked
-    afterwards; spill files are deleted after reading.
-    """
-    if handle.kind == "shm":
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=handle.name)
-        try:
-            view = memoryview(segment.buf)[: handle.size]
-            try:
-                return parser(view)
-            finally:
-                view.release()
-        finally:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-    if handle.kind == "file":
-        with open(handle.path, "rb") as stream:
-            blob = stream.read()
-        try:
-            os.unlink(handle.path)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        return parser(memoryview(blob))
+    """Run ``parser`` over the blob behind ``handle``."""
     return parser(memoryview(handle.data))
-
-
-class TransportStats:
-    """Byte counters a consumer accumulates over a batch of handles."""
-
-    __slots__ = ("transport_bytes", "spill_bytes")
-
-    def __init__(self) -> None:
-        self.transport_bytes = 0
-        self.spill_bytes = 0
-
-    def count(self, handle: BlobHandle) -> None:
-        self.transport_bytes += handle.size
-        if handle.kind == "file":
-            self.spill_bytes += handle.size
 
 
 # -- primitive framing -------------------------------------------------------
@@ -206,7 +84,7 @@ class _Writer:
     def u32_column(self, values: Sequence[int]) -> None:
         """A length-prefixed little-endian ``u32`` column."""
         self.u32(len(values))
-        if _np is not None and isinstance(values, _np.ndarray):
+        if isinstance(values, _np.ndarray):
             self._parts.append(values.astype("<u4", copy=False).tobytes())
             return
         arr = values if isinstance(values, array) else array("I", values)
@@ -271,13 +149,7 @@ class _Reader:
         count = self.u32()
         data = self._view[self._offset : self._offset + 4 * count]
         self._offset += 4 * count
-        if _np is not None:
-            return _np.frombuffer(data, dtype="<u4").tolist()
-        if sys.byteorder != "little":  # pragma: no cover - big-endian only
-            return list(struct.unpack(f"<{count}I", data))
-        arr = array("I")
-        arr.frombytes(data)
-        return arr.tolist()
+        return _np.frombuffer(data, dtype="<u4").tolist()
 
     def typed_column(self) -> array:
         typecode = bytes(self._view[self._offset : self._offset + 1]).decode("ascii")

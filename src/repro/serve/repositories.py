@@ -25,7 +25,6 @@ from repro.netsim.worldplan import WorldPlan
 from repro.scan.blockfile import BlockFileReader, append_day_records, write_blockfile
 from repro.scan.cache import CampaignCache
 from repro.scan.campaign import SupplementalCampaign, SupplementalDataset
-from repro.scan.sharded import ShardedCampaign
 from repro.scan.snapshot import SnapshotSeries
 from repro.scan.storage import CountMatrix, PrefixTable
 
@@ -219,9 +218,8 @@ class CampaignRepository:
         self._networks = list(networks) if networks is not None else None
         self._cache = cache
         self._fault_plan = fault_plan
-        #: When set, materialisation runs the sharded campaign over the
-        #: plan (byte-identical to the single-world run, but the serve
-        #: process never holds more than one shard's networks at once).
+        #: When set, materialisation runs the campaign over the plan,
+        #: shard by shard (byte-identical to the single-world run).
         self._plan = plan
         self._shards = shards
         self._obs = obs
@@ -240,18 +238,13 @@ class CampaignRepository:
         fault_kwargs = (
             {"fault_plan": self._fault_plan} if self._fault_plan is not None else {}
         )
-        if self._plan is not None:
-            campaign = ShardedCampaign(
-                self._plan,
-                shards=self._shards,
-                networks=self._networks,
-                obs=self._obs,
-                **fault_kwargs,
-            )
-        else:
-            campaign = SupplementalCampaign(
-                self._world, networks=self._networks, obs=self._obs, **fault_kwargs
-            )
+        campaign = SupplementalCampaign(
+            self._plan if self._plan is not None else self._world,
+            shards=self._shards,
+            networks=self._networks,
+            obs=self._obs,
+            **fault_kwargs,
+        )
         self._dataset = campaign.run(self._start, self._end, cache=self._cache)
         metrics = campaign.last_metrics
         self.last_outcome = (

@@ -94,22 +94,6 @@ class TestColumnarMatchesReference:
         assert columnar.prefixes["10.0.0.0/24"].change_days == 0
         assert_reports_equal(columnar, DictReferenceAnalyzer().analyze(series))
 
-    @given(series_strategy)
-    @settings(max_examples=30)
-    def test_stdlib_fallback_matches_reference(self, day_dicts):
-        # Hosts without NumPy take _scan_columns' pure-Python branch;
-        # it must agree with the vectorised path bit-for-bit.
-        import repro.core.dynamicity as dynamicity_module
-
-        series = mapping_from(day_dicts)
-        saved = dynamicity_module.np
-        try:
-            dynamicity_module.np = None
-            fallback = DynamicityAnalyzer().analyze(series)
-        finally:
-            dynamicity_module.np = saved
-        assert_reports_equal(fallback, DictReferenceAnalyzer().analyze(series))
-
     def test_snapshot_series_input(self):
         from repro.netsim.internet import WorldScale, build_world
         from repro.scan import SnapshotCollector

@@ -19,7 +19,8 @@ from repro.netsim.person import PersonGenerator
 from repro.netsim.population import _take_devices
 from repro.netsim.rng import RngStreams
 from repro.scan.cache import CampaignCache, SnapshotCache
-from repro.scan.sharded import ShardedCampaign, ShardedCollector
+from repro.scan.campaign import SupplementalCampaign
+from repro.scan.sharded import ShardedCollector
 
 WINDOW = (dt.date(2021, 1, 1), dt.date(2021, 1, 8))
 CAMPAIGN_WINDOW = (dt.date(2021, 11, 1), dt.date(2021, 11, 3))
@@ -46,7 +47,7 @@ class TestCellKeyDistinctness:
             fault_token = fault_plan.cache_token() if fault_plan else None
             collector = ShardedCollector(plan, shards=1, fault_token=fault_token)
             snapshot_keys.add(collector._cache_key(snapshot_cache, *WINDOW))
-            campaign = ShardedCampaign(plan, fault_plan=fault_plan)
+            campaign = SupplementalCampaign(plan, fault_plan=fault_plan)
             campaign_keys.add(campaign.cache_key(campaign_cache, *CAMPAIGN_WINDOW))
         cells = len(spec.cells())
         assert len(snapshot_keys) == cells

@@ -8,7 +8,7 @@ of the report or the JSON payload.
 
 import json
 
-from repro.eval import matrix_payload, render_ranked_report, run_matrix
+from repro.eval import MatrixSpec, campus_plan, matrix_payload, render_ranked_report, run_matrix
 from repro.obs import Observability
 
 
@@ -45,3 +45,28 @@ class TestParallelIdentity:
         serial = eval_counters(1)
         assert "eval_cells_total" in serial
         assert eval_counters(2) == serial
+
+    def test_cell_counters_reach_the_manifest(self):
+        # Cells record into their own registries and the coordinator
+        # merges them in cell order, so the pooled manifest equals the
+        # serial one and both carry the engines' counters.
+        spec = MatrixSpec(
+            worlds={"campus": campus_plan(7)},
+            policies=("carry-over",),
+            faults=("none", "mild"),
+        ).validate()
+
+        def manifest(workers):
+            obs = Observability()
+            run_matrix(spec, workers=workers, obs=obs)
+            return obs.manifest()
+
+        serial = manifest(1)
+        pooled = manifest(2)
+        assert pooled.deterministic_payload() == serial.deterministic_payload()
+        for name in (
+            "engine_events_total",
+            "reactive_sweeps_total",
+            "dhcp_messages_total",
+        ):
+            assert serial.counter_value(name) > 0, name

@@ -9,7 +9,7 @@ from repro.core.timing import lingering_analysis
 from repro.netsim.internet import WorldScale, build_world
 from repro.scan.cache import CampaignCache
 from repro.scan.campaign import SupplementalCampaign, SupplementalDataset
-from repro.scan.campaign_parallel import effective_campaign_workers, run_networks
+from repro.scan.parallel import effective_campaign_workers
 from repro.scan.reactive import TABLE2_SCHEDULE, BackoffSchedule
 from repro.scan.storage import IcmpColumns, RdnsColumns
 
@@ -58,17 +58,18 @@ class TestParallelEquivalence:
         parallel = SupplementalCampaign(world).run(START, END, workers=2)
         assert_datasets_identical(serial_dataset, parallel)
 
-    def test_pool_path_bit_identical_to_serial(self, serial_dataset):
-        # Drive the process pool directly so the pool code runs even on
-        # single-core hosts (where run() would fall back to serial).
+    def test_pool_path_bit_identical_to_serial(self, serial_dataset, monkeypatch):
+        # Lift the machine cap so the pool runs even on single-core
+        # hosts (where run() would otherwise fall back to serial).
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
         world = build_world(seed=11, scale=WorldScale.small())
         campaign = SupplementalCampaign(world)
-        results = run_networks(campaign, START, END, workers=2)
-        assert [result.network for result in results] == campaign.network_names
-        icmp = IcmpColumns.merged([result.icmp for result in results])
-        rdns = RdnsColumns.merged([result.rdns for result in results])
-        assert list(icmp) == list(serial_dataset.icmp)
-        assert list(rdns) == list(serial_dataset.rdns)
+        pooled = campaign.run(START, END, workers=2)
+        metrics = campaign.last_metrics
+        assert metrics.effective_workers == 2
+        assert metrics.transport_bytes > 0
+        assert list(metrics.per_network_seconds) == campaign.network_names
+        assert_datasets_identical(serial_dataset, pooled)
 
     def test_metrics_report_effective_workers(self, serial_dataset):
         world = build_world(seed=11, scale=WorldScale.small())

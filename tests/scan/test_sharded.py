@@ -1,9 +1,9 @@
 """Sharded == unsharded, byte for byte.
 
-The contract of :mod:`repro.scan.sharded`: for any shard count, worker
-count, fault profile or cache temperature, the sharded engines produce
-payloads byte-identical to the single-world engines run over the same
-plan.  Everything downstream (dynamicity, caching, the serve layer)
+The contract of plan sharding: for any shard count, worker count,
+fault profile or cache temperature, :class:`ShardedCollector` and a
+plan-sourced :class:`SupplementalCampaign` produce payloads
+byte-identical to the single-world engines run over the same plan.  Everything downstream (dynamicity, caching, the serve layer)
 leans on this, so the comparisons here are on serialized payloads, not
 summaries.
 """
@@ -17,10 +17,10 @@ from repro.core.dynamicity import DynamicityAnalyzer
 from repro.netsim.faults import plan_from_profile
 from repro.netsim.worldplan import PlanError, synthetic_plan
 from repro.scan.cache import CampaignCache, SnapshotCache
+from repro.obs import Observability
 from repro.scan.campaign import SupplementalCampaign
-from repro.scan.campaign_parallel import effective_campaign_workers
-from repro.scan.parallel import WorkerBudget, worker_cap
-from repro.scan.sharded import ShardedCampaign, ShardedCollector
+from repro.scan.parallel import WorkerBudget, effective_campaign_workers, worker_cap
+from repro.scan.sharded import ShardedCollector
 from repro.scan.snapshot import SnapshotCollector
 
 START = dt.date(2021, 1, 1)
@@ -106,19 +106,45 @@ class TestShardedSnapshotCache:
 
 
 class TestShardedCampaign:
-    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
     def test_byte_identical_across_shard_counts(self, plan, baseline_dataset, shards):
-        dataset = ShardedCampaign(plan, shards=shards, fault_plan=None).run(
+        dataset = SupplementalCampaign(plan, shards=shards, fault_plan=None).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
         assert canonical(dataset.to_payload()) == canonical(baseline_dataset.to_payload())
 
     def test_parallel_matches_serial(self, plan, baseline_dataset, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        dataset = ShardedCampaign(plan, shards=2, fault_plan=None).run(
+        dataset = SupplementalCampaign(plan, shards=2, fault_plan=None).run(
             CAMPAIGN_START, CAMPAIGN_END, workers=2
         )
         assert canonical(dataset.to_payload()) == canonical(baseline_dataset.to_payload())
+
+    @pytest.mark.parametrize("shards", [1, 3, 4])
+    def test_pooled_shard_counts_match_world_run(
+        self, plan, baseline_dataset, monkeypatch, shards
+    ):
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
+        campaign = SupplementalCampaign(plan, shards=shards, fault_plan=None)
+        dataset = campaign.run(CAMPAIGN_START, CAMPAIGN_END, workers=2)
+        assert campaign.last_metrics.effective_workers == (1 if shards == 1 else 2)
+        assert canonical(dataset.to_payload()) == canonical(baseline_dataset.to_payload())
+
+    def test_world_and_plan_sources_agree(self, plan):
+        # Same payload bytes and the same deterministic manifest
+        # sections, whichever source the campaign is handed.
+        runs = []
+        for source in (plan.build(), plan):
+            obs = Observability()
+            dataset = SupplementalCampaign(source, shards=3, fault_plan=None, obs=obs).run(
+                CAMPAIGN_START, CAMPAIGN_END
+            )
+            payload = obs.manifest().deterministic_payload()
+            runs.append((canonical(dataset.to_payload()), payload["spans"], payload["metrics"]))
+        world_run, plan_run = runs
+        assert world_run == plan_run
+        assert world_run[1], "campaign.run span missing"
+        assert world_run[2]["counters"], "campaign counters missing"
 
     def test_faulted_run_matches_unsharded_faulted_run(self, plan, monkeypatch):
         faults = plan_from_profile("mild", seed=11)
@@ -126,23 +152,23 @@ class TestShardedCampaign:
         reference = SupplementalCampaign(world, fault_plan=faults).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
-        serial = ShardedCampaign(plan, shards=3, fault_plan=faults).run(
+        serial = SupplementalCampaign(plan, shards=3, fault_plan=faults).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
         assert canonical(serial.to_payload()) == canonical(reference.to_payload())
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        parallel = ShardedCampaign(plan, shards=3, fault_plan=faults).run(
+        parallel = SupplementalCampaign(plan, shards=3, fault_plan=faults).run(
             CAMPAIGN_START, CAMPAIGN_END, workers=2
         )
         assert canonical(parallel.to_payload()) == canonical(reference.to_payload())
 
     def test_cache_hits_across_shard_counts(self, plan, baseline_dataset, tmp_path):
         cache = CampaignCache(tmp_path / "camp")
-        writer = ShardedCampaign(plan, shards=3, fault_plan=None)
+        writer = SupplementalCampaign(plan, shards=3, fault_plan=None)
         written = writer.run(CAMPAIGN_START, CAMPAIGN_END, cache=cache)
         assert writer.last_metrics.cache_stored
 
-        reader = ShardedCampaign(plan, shards=1, fault_plan=None)
+        reader = SupplementalCampaign(plan, shards=1, fault_plan=None)
         replayed = reader.run(CAMPAIGN_START, CAMPAIGN_END, cache=cache)
         assert reader.last_metrics.cache_hit
         assert canonical(replayed.to_payload()) == canonical(written.to_payload())
@@ -154,7 +180,7 @@ class TestShardedCampaign:
         reference = SupplementalCampaign(world, networks=names, fault_plan=None).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
-        dataset = ShardedCampaign(plan, shards=2, networks=names, fault_plan=None).run(
+        dataset = SupplementalCampaign(plan, shards=2, networks=names, fault_plan=None).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
         assert canonical(dataset.to_payload()) == canonical(reference.to_payload())
@@ -162,7 +188,7 @@ class TestShardedCampaign:
     def test_plan_without_supplementals_rejected(self):
         bare = synthetic_plan(seed=0, slash16s=2, people=2, supplemental_every=0)
         with pytest.raises(PlanError, match="supplemental"):
-            ShardedCampaign(bare).run(CAMPAIGN_START, CAMPAIGN_END)
+            SupplementalCampaign(bare).run(CAMPAIGN_START, CAMPAIGN_END)
 
 
 class TestDownstreamEquivalence:
